@@ -12,7 +12,7 @@ import pytest
 
 from _pipeline import ROBUST_INCAR, emit
 from repro.datagen import SyntheticICSD
-from repro.docstore import Collection, ShardedCollection
+from repro.docstore import Collection, ShardedCluster
 from repro.fireworks import LaunchPad, Rocket, Workflow, vasp_firework
 from repro.docstore import DocumentStore
 
@@ -65,8 +65,12 @@ def _sharding_ablation(n_docs=4000):
     docs = [{"mps_id": f"mps-{i}", "v": i} for i in range(n_docs)]
     results = {}
     for n_shards in (1, 2, 4):
-        shards = [Collection(f"s{i}") for i in range(n_shards)]
-        sc = ShardedCollection("materials", "mps_id", shards)
+        # Single-member shards and no auto-split: the ablation isolates
+        # routing, not replication or chunk management.
+        cluster = ShardedCluster(n_replicas=1, split_threshold=n_docs)
+        for i in range(n_shards):
+            cluster.add_shard(f"s{i}")
+        sc = cluster.shard_collection("mp.materials", "mps_id")
         sc.insert_many(docs)
         t0 = time.perf_counter()
         for i in range(400):
@@ -74,8 +78,8 @@ def _sharding_ablation(n_docs=4000):
         elapsed = time.perf_counter() - t0
         results[n_shards] = {
             "elapsed_s": elapsed,
-            "balance": sc.balance_factor(),
-            "targets_per_query": len(sc.last_targets),
+            "balance": cluster.balance_factor("mp.materials"),
+            "targets_per_query": len(sc.explain({"mps_id": "mps-0"})["shards"]),
         }
     return results
 

@@ -8,8 +8,8 @@ model on top of the reproduction's document store:
   epoch versioning, persisted through the journal when the config store is
   journal-backed;
 * :mod:`~repro.docstore.cluster.replica` — per-shard replica sets with
-  majority-ack writes, term/vote primary elections, and changestream-based
-  catch-up;
+  majority-ack writes, term/vote primary elections, and catch-up of revived
+  members from one capped write log;
 * :mod:`~repro.docstore.cluster.balancer` — the daemon that migrates chunks
   to even out shard load;
 * :mod:`~repro.docstore.cluster.router` — the mongos analog: planner-aware

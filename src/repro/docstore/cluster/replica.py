@@ -15,12 +15,12 @@ at a time:
   candidate must be at least as up to date (``applied_optime``) as each
   voter.  A majority of votes wins; anything less raises
   :class:`~repro.errors.ElectionFailed`.
-* **Catch-up** of a revived member is oplog-style via
-  :class:`~repro.docstore.changestream.ChangeStream`: killing a node opens
-  change streams on a live donor's collections, and revival drains them and
-  replays the missed document-level deltas.  If the streams overflowed or
-  the donor died in the meantime, the node falls back to a full resync from
-  the current best member.
+* **Catch-up** of a revived member replays one write log.  While any
+  member is dead, every acknowledged write is also appended to a capped log
+  as ``(optime, db, coll, fn)``; revival re-runs the entries past the
+  member's ``applied_optime`` on its store.  Only when the cap has dropped
+  an entry the member needs does it fall back to a full resync from the
+  current best member.
 
 The :class:`HeartbeatMonitor` is the failure detector: a daemon thread that
 notices a dead primary and triggers the election, so clients blocked in
@@ -31,18 +31,19 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ...errors import ClusterError, ElectionFailed, NotPrimary
 from ...obs import get_registry
-from ..changestream import ChangeStream
 from ..collection import Collection
 from ..database import DocumentStore
 
 __all__ = ["ClusterReplicaNode", "ShardReplicaSet", "HeartbeatMonitor"]
 
-#: Catch-up streams buffer this many missed events before forcing a resync.
-CATCHUP_BUFFER = 50_000
+#: Writes the catch-up log keeps while a member is dead; a member that
+#: missed more than this many is resynced in full on revival.
+WRITE_LOG_CAP = 10_000
 
 
 class ClusterReplicaNode:
@@ -81,12 +82,13 @@ class ShardReplicaSet:
         #: ``term -> {voter name: candidate name}`` — one vote per term.
         self.voted_in: Dict[int, Dict[str, str]] = {}
         self.elections = 0
-        self.event_sink = event_sink
+        self.event_sink = event_sink or (lambda event: None)
         self._primary_idx = 0
         self._optime = 0
-        #: Pending catch-up state for dead members:
-        #: ``name -> (donor name, [(db, coll, stream), ...])``.
-        self._catchup: Dict[str, Tuple[str, List[Tuple[str, str, ChangeStream]]]] = {}
+        #: ``(optime, db, coll, fn)`` of every write made while a member was
+        #: dead; emptied once all members are alive again.
+        self._log: Deque[Tuple[int, str, str, Callable[[Collection], Any]]] = (
+            deque(maxlen=WRITE_LOG_CAP))
 
     # -- membership ---------------------------------------------------------
 
@@ -135,6 +137,8 @@ class ShardReplicaSet:
         is the client's result), then against every alive secondary.  The
         caller must make ``fn`` deterministic — e.g. pre-assign ``_id``
         before the fan-out — so every member converges on the same state.
+        A write the primary rejects leaves the optime where it was; while a
+        member is dead, an accepted one is also logged for its revival.
 
         Raises :class:`NotPrimary` when the primary is dead and
         :class:`ClusterError` when fewer than a majority of configured
@@ -149,14 +153,14 @@ class ShardReplicaSet:
                     f"{len(self.members)} members alive; cannot satisfy "
                     "majority write concern"
                 )
-            self._optime += 1
             result = fn(primary.store[db_name][coll_name])
-            primary.applied_optime = self._optime
+            self._optime += 1
             for member in alive:
-                if member is primary:
-                    continue
-                fn(member.store[db_name][coll_name])
+                if member is not primary:
+                    fn(member.store[db_name][coll_name])
                 member.applied_optime = self._optime
+            if len(alive) < len(self.members):
+                self._log.append((self._optime, db_name, coll_name, fn))
             return result
 
     def last_optime(self) -> int:
@@ -165,28 +169,14 @@ class ShardReplicaSet:
     # -- failure injection --------------------------------------------------
 
     def kill(self, name: str) -> None:
-        """Mark a member dead (logical kill; in-flight writes finish first).
-
-        Opens catch-up change streams on a live donor so a later
-        :meth:`revive` can replay only the missed deltas.
-        """
+        """Mark a member dead (logical kill; in-flight writes finish first)."""
         with self._lock:
             node = self.node(name)
             if not node.alive:
                 return
             node.alive = False
-            donor = self._best_alive()
-            streams: List[Tuple[str, str, ChangeStream]] = []
-            if donor is not None:
-                for db_name in donor.store.list_database_names():
-                    for coll_name in donor.store[db_name].list_collection_names():
-                        streams.append((db_name, coll_name, ChangeStream(
-                            donor.store[db_name][coll_name],
-                            max_buffer=CATCHUP_BUFFER,
-                        )))
-                self._catchup[name] = (donor.name, streams)
-            self._emit({"type": "member_killed", "shard": self.shard_id,
-                        "member": name, "term": self.term})
+            self.event_sink({"type": "member_killed", "shard": self.shard_id,
+                             "member": name, "term": self.term})
             get_registry().counter(
                 "repro_cluster_member_kills_total",
                 "replica-set members marked dead",
@@ -195,25 +185,22 @@ class ShardReplicaSet:
     def revive(self, name: str) -> str:
         """Bring a dead member back, catching it up before it serves.
 
-        Returns ``"delta"`` when the changestream replay sufficed or
-        ``"resync"`` when a full copy from the best member was required.
+        Returns ``"delta"`` when replaying the write log sufficed or
+        ``"resync"`` when the log had already dropped a write the member
+        missed, so a full copy from the best member was required.
         """
         with self._lock:
             node = self.node(name)
             if node.alive:
                 return "delta"
-            donor_name, streams = self._catchup.pop(name, (None, []))
-            mode = "resync"
-            donor = self.node(donor_name) if donor_name else None
-            if (donor is not None and donor.alive
-                    and not any(s.dropped for _, _, s in streams)
-                    and self._same_namespaces(donor, streams)):
-                for db_name, coll_name, stream in streams:
-                    target = node.store[db_name][coll_name]
-                    for event in stream.drain():
-                        self._apply_event(target, event)
+            first = self._log[0][0] if self._log else self._optime + 1
+            if first <= node.applied_optime + 1:
                 mode = "delta"
+                for optime, db_name, coll_name, fn in self._log:
+                    if optime > node.applied_optime:
+                        fn(node.store[db_name][coll_name])
             else:
+                mode = "resync"
                 source = self._best_alive()
                 if source is None:
                     raise ClusterError(
@@ -221,12 +208,12 @@ class ShardReplicaSet:
                         f"resync {name!r} from"
                     )
                 self._full_resync(source, node)
-            for _, _, stream in streams:
-                stream.close()
             node.applied_optime = self._optime
             node.alive = True
-            self._emit({"type": "member_revived", "shard": self.shard_id,
-                        "member": name, "mode": mode, "term": self.term})
+            if all(m.alive for m in self.members):
+                self._log.clear()
+            self.event_sink({"type": "member_revived", "shard": self.shard_id,
+                             "member": name, "mode": mode, "term": self.term})
             return mode
 
     def _best_alive(self) -> Optional[ClusterReplicaNode]:
@@ -234,23 +221,6 @@ class ShardReplicaSet:
         if not alive:
             return None
         return max(alive, key=lambda m: m.applied_optime)
-
-    @staticmethod
-    def _same_namespaces(donor: ClusterReplicaNode,
-                         streams: List[Tuple[str, str, ChangeStream]]) -> bool:
-        """Whether the donor grew namespaces the catch-up streams miss."""
-        streamed = {(db, coll) for db, coll, _ in streams}
-        for db_name in donor.store.list_database_names():
-            for coll_name in donor.store[db_name].list_collection_names():
-                if (db_name, coll_name) not in streamed:
-                    return False
-        return True
-
-    @staticmethod
-    def _apply_event(target: Collection, event: Any) -> None:
-        target.delete_one({"_id": event.document_id})
-        if event.operation in ("insert", "update") and event.document is not None:
-            target.insert_one(event.document)
 
     @staticmethod
     def _full_resync(source: ClusterReplicaNode,
@@ -301,9 +271,9 @@ class ShardReplicaSet:
                 )
             self._primary_idx = self.members.index(candidate)
             self.elections += 1
-            self._emit({"type": "election", "shard": self.shard_id,
-                        "primary": candidate.name, "term": self.term,
-                        "votes": votes})
+            self.event_sink({"type": "election", "shard": self.shard_id,
+                             "primary": candidate.name, "term": self.term,
+                             "votes": votes})
             get_registry().counter(
                 "repro_cluster_elections_total",
                 "replica-set primary elections won",
@@ -360,18 +330,12 @@ class ShardReplicaSet:
                 "members": [
                     {"name": m.name, "alive": m.alive,
                      "optime": m.applied_optime,
+                     "lag": self._optime - m.applied_optime,
                      "role": ("PRIMARY" if self.primary is m else
                               "SECONDARY" if m.alive else "DOWN")}
                     for m in self.members
                 ],
             }
-
-    def _emit(self, event: dict) -> None:
-        if self.event_sink is not None:
-            try:
-                self.event_sink(event)
-            except Exception:
-                pass
 
 
 class HeartbeatMonitor:

@@ -29,7 +29,7 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set
 
 from ...errors import ClusterError, NotPrimary, ShardingError, StaleEpoch
-from ...obs import get_registry
+from ...obs import active_span, get_logger, get_registry
 from ..database import DocumentStore
 from ..documents import MISSING, deep_copy_doc, get_path
 from ..matching import ordering_key
@@ -46,6 +46,8 @@ MAX_ROUTE_RETRIES = 8
 
 #: Auto-split a chunk once its document-count estimate crosses this.
 DEFAULT_SPLIT_THRESHOLD = 1_000
+
+logger = get_logger("repro.docstore.cluster")
 
 
 class Shard:
@@ -320,8 +322,20 @@ class ClusterCollection:
         return self._with_retries(attempt)
 
     def _reject_shard_key_mutation(self, update: Mapping[str, Any]) -> None:
+        """Refuse updates that could change a document's shard key.
+
+        A mutated key would leave the document on a chunk that no longer
+        owns it.  Rejected: replacement documents (they rewrite the whole
+        document, key included) and operators on the key, on a subpath of
+        it, or on a prefix of it (rewriting the enclosing subdocument).
+        """
         key = self.shard_key
         for op, spec in update.items():
+            if not str(op).startswith("$"):
+                raise ShardingError(
+                    f"replacement update would modify the immutable "
+                    f"shard key {key!r}"
+                )
             if not isinstance(spec, Mapping):
                 continue
             for field in spec:
@@ -337,25 +351,35 @@ class ClusterCollection:
     def find(self, query: Optional[Mapping[str, Any]] = None,
              sort: Optional[List[tuple]] = None,
              limit: Optional[int] = None) -> List[dict]:
-        """Routed find with per-shard sort+limit pushdown and k-way merge."""
+        """Routed find with per-shard sort+limit pushdown and k-way merge.
+
+        Inside an active trace the fan-out is recorded as a ``cluster.find``
+        span with one ``shard.find`` child per shard consulted.
+        """
         query = query or {}
+
+        def run(c):
+            cursor = c.find(query)
+            if sort:
+                cursor = cursor.sort(sort)
+            if limit is not None:
+                cursor = cursor.limit(limit)
+            return list(cursor)
 
         def attempt():
             per_shard: List[List[dict]] = []
-            for shard_id, chunks in self._route(query).items():
-                shard = self.cluster.shard(shard_id)
-                chunk_ids = [c.chunk_id for c in chunks]
-
-                def run(c):
-                    cursor = c.find(query)
-                    if sort:
-                        cursor = cursor.sort(sort)
-                    if limit is not None:
-                        cursor = cursor.limit(limit)
-                    return list(cursor)
-
-                per_shard.append(shard.read(self.ns, chunk_ids, run))
-            return self._merge(per_shard, sort, limit)
+            routed = self._route(query)
+            with active_span("cluster.find", ns=self.ns,
+                             shards=len(routed)) as fan:
+                for shard_id, chunks in routed.items():
+                    shard = self.cluster.shard(shard_id)
+                    chunk_ids = [c.chunk_id for c in chunks]
+                    with active_span("shard.find", shard=shard_id):
+                        per_shard.append(shard.read(self.ns, chunk_ids, run))
+                merged = self._merge(per_shard, sort, limit)
+                if fan is not None:
+                    fan.set_attribute("nreturned", len(merged))
+            return merged
 
         return self._with_retries(attempt)
 
@@ -756,7 +780,7 @@ class ShardedCluster:
             if shard.rs.primary is None:
                 shard.rs.await_primary(timeout_s=timeout_s)
 
-    # -- health-monitor protocol (watch_sharded compatibility) --------------
+    # -- balance (HealthMonitor.watch_sharded reads these) -----------------
 
     def shard_distribution(self, ns: Optional[str] = None) -> Dict[str, int]:
         """Estimated docs per shard (first/namespace-summed chunk counters)."""
@@ -819,11 +843,18 @@ class ShardedCluster:
         }
 
     def _emit(self, event: dict) -> None:
-        if self.event_sink is not None:
-            try:
-                self.event_sink(event)
-            except Exception:
-                pass
+        """Hand ``event`` to the sink; a failing sink is counted and logged."""
+        if self.event_sink is None:
+            return
+        try:
+            self.event_sink(event)
+        except Exception as exc:
+            get_registry().counter(
+                "repro_cluster_event_sink_errors_total",
+                "cluster events the event sink failed to accept",
+            ).inc(1, type=event.get("type"))
+            logger.warning("event=event_sink_error type=%s error=%r",
+                           event.get("type"), exc, exc_info=True)
 
 
 def _upsert(collection: Any, doc: Mapping[str, Any]) -> None:

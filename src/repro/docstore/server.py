@@ -41,6 +41,7 @@ from ..errors import (
     WireProtocolError,
 )
 from ..obs import export_traces, get_registry, remote_span, span, trace_context
+from .collection import DeleteResult, InsertResult, UpdateResult
 from .database import DocumentStore
 from .documents import document_from_json, document_to_json
 from .indexes import normalize_index_spec
@@ -452,7 +453,11 @@ class DatastoreServer:
     @staticmethod
     def _op_update_many(coll: Any, req: Mapping[str, Any]) -> Any:
         r = coll.update_many(req["query"], req["update"], upsert=req.get("upsert", False))
-        return {"matched_count": r.matched_count, "modified_count": r.modified_count}
+        return {
+            "matched_count": r.matched_count,
+            "modified_count": r.modified_count,
+            "upserted_id": r.upserted_id,
+        }
 
     @staticmethod
     def _op_find_one_and_update(coll: Any, req: Mapping[str, Any]) -> Any:
@@ -518,8 +523,18 @@ class DatastoreServer:
         return coll.plan_cache_stats()
 
 
+def _update_result(reply: Mapping[str, Any]) -> UpdateResult:
+    return UpdateResult(reply["matched_count"], reply["modified_count"],
+                        reply["upserted_id"])
+
+
 class RemoteCollection:
-    """Client-side handle mirroring the in-process Collection API subset."""
+    """Client-side handle mirroring the in-process Collection API subset.
+
+    Writes return the same result objects as :class:`Collection`, so code
+    written against the in-process API, such as ``LaunchPad``, runs
+    unchanged over the wire.
+    """
 
     def __init__(self, client: "RemoteClient", db: str, name: str):
         self._client = client
@@ -529,11 +544,14 @@ class RemoteCollection:
     def _call(self, op: str, **kwargs: Any) -> Any:
         return self._client.request({"op": op, "db": self._db, "coll": self.name, **kwargs})
 
-    def insert_one(self, document: Mapping[str, Any]) -> Any:
-        return self._call("insert_one", document=dict(document))
+    def insert_one(self, document: Mapping[str, Any]) -> InsertResult:
+        reply = self._call("insert_one", document=dict(document))
+        return InsertResult([reply["inserted_id"]])
 
-    def insert_many(self, documents: List[Mapping[str, Any]]) -> Any:
-        return self._call("insert_many", documents=[dict(d) for d in documents])
+    def insert_many(self, documents: List[Mapping[str, Any]]) -> InsertResult:
+        reply = self._call("insert_many",
+                           documents=[dict(d) for d in documents])
+        return InsertResult(reply["inserted_ids"])
 
     def find(
         self,
@@ -564,11 +582,13 @@ class RemoteCollection:
     def distinct(self, field: str, query=None) -> List[Any]:
         return self._call("distinct", field=field, query=query)
 
-    def update_one(self, query, update, upsert=False) -> dict:
-        return self._call("update_one", query=query, update=update, upsert=upsert)
+    def update_one(self, query, update, upsert=False) -> UpdateResult:
+        return _update_result(self._call(
+            "update_one", query=query, update=update, upsert=upsert))
 
-    def update_many(self, query, update, upsert=False) -> dict:
-        return self._call("update_many", query=query, update=update, upsert=upsert)
+    def update_many(self, query, update, upsert=False) -> UpdateResult:
+        return _update_result(self._call(
+            "update_many", query=query, update=update, upsert=upsert))
 
     def find_one_and_update(
         self, query, update, sort=None, return_document="before", upsert=False
@@ -582,11 +602,12 @@ class RemoteCollection:
             upsert=upsert,
         )
 
-    def delete_one(self, query) -> dict:
-        return self._call("delete_one", query=query)
+    def delete_one(self, query) -> DeleteResult:
+        return DeleteResult(self._call("delete_one", query=query)["deleted_count"])
 
-    def delete_many(self, query=None) -> dict:
-        return self._call("delete_many", query=query or {})
+    def delete_many(self, query=None) -> DeleteResult:
+        return DeleteResult(
+            self._call("delete_many", query=query or {})["deleted_count"])
 
     def aggregate(self, pipeline: List[Mapping[str, Any]],
                   explain: bool = False) -> Any:

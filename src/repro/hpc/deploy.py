@@ -14,7 +14,7 @@ queue.
 
 * one :class:`~repro.hpc.batch.BatchJob` per replica-set member, staggered
   within each shard so leases do not expire together;
-* a job *starting* revives its member (changestream catch-up or full
+* a job *starting* revives its member (write-log catch-up or full
   resync); a lease expiry or walltime kill marks the member dead and — when
   it was the primary — runs the election synchronously in simulated time;
 * an advance reservation covers the fleet, reproducing §IV-A1's answer to

@@ -253,10 +253,11 @@ class HealthMonitor:
 
     Gauge keys consumed by the default SLO rules:
 
-    * ``replication_max_lag`` — worst secondary lag (oplog entries behind)
-      across watched replica sets;
+    * ``replication_max_lag`` — worst non-primary member lag (writes
+      behind the set's optime) across watched ``ShardReplicaSet`` objects;
     * ``shard_max_balance_factor`` — worst ``max/mean`` shard-size ratio
-      across watched sharded collections (1.0 is perfectly balanced);
+      across watched ``ShardedCluster`` objects (1.0 is perfectly
+      balanced);
     * ``changestream_max_backlog_fraction`` — fullest watched change
       stream buffer, as a fraction of its capacity.
     """
@@ -311,7 +312,7 @@ class HealthMonitor:
         for rs in self._replica_sets:
             status = rs.status()
             for member in status["members"]:
-                if member["state"] != "PRIMARY":
+                if member["role"] != "PRIMARY":
                     lags.append(member["lag"])
                     g[f"replication_lag:{member['name']}"] = member["lag"]
         if lags:

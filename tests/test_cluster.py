@@ -9,6 +9,7 @@ zero acknowledged-write loss.  Knobs:
 * ``CHAOS_WRITERS``    — writer thread count (default 4)
 """
 
+import logging
 import os
 import threading
 import time
@@ -26,10 +27,12 @@ from repro.docstore.cluster import MAX_KEY, MIN_KEY
 from repro.docstore.cluster.config import bound_sort_key
 from repro.errors import (
     ClusterError,
+    DuplicateKeyError,
     ElectionFailed,
     ShardingError,
     StaleEpoch,
 )
+from repro.obs import get_registry
 
 DURATION_S = float(os.environ.get("CHAOS_DURATION_S", "1.5"))
 N_WRITERS = int(os.environ.get("CHAOS_WRITERS", "4"))
@@ -299,7 +302,7 @@ class TestElections:
         with pytest.raises(ElectionFailed):
             rs.elect()
 
-    def test_revive_catches_up_via_changestream_delta(self):
+    def test_revive_catches_up_from_write_log(self):
         cluster = make_cluster(n_shards=1)
         coll = cluster.shard_collection("mp.m", "mid")
         for i in range(5):
@@ -322,12 +325,23 @@ class TestElections:
         secondary = next(m.name for m in rs.members
                          if m is not rs.primary)
         rs.kill(secondary)
-        # A namespace born while the member was down cannot be covered by
-        # the changestreams opened at kill time -> full resync.
+        # The write log also covers a namespace born while the member was
+        # down, so no full resync is needed.
         rs.write("mp", "born_later", lambda c: c.insert_one({"x": 1}))
-        assert rs.revive(secondary) == "resync"
+        assert rs.revive(secondary) == "delta"
         node = rs.node(secondary)
         assert node.store["mp"]["born_later"].count_documents() == 1
+
+    def test_rejected_write_does_not_advance_optime(self):
+        cluster = make_cluster(n_shards=1)
+        coll = cluster.shard_collection("mp.m", "mid")
+        coll.insert_one({"_id": 1, "mid": "mp-0"})
+        with pytest.raises(DuplicateKeyError):
+            coll.insert_one({"_id": 1, "mid": "mp-0"})
+        rs = cluster.shard("s0").rs
+        assert rs.last_optime() == 1
+        assert [m.applied_optime for m in rs.members] == [1, 1, 1]
+        assert [m["lag"] for m in rs.status()["members"]] == [0, 0, 0]
 
     def test_step_down_hands_over_and_bumps_term(self):
         cluster = make_cluster(n_shards=1)
@@ -474,6 +488,30 @@ class TestWireOpsAndObservability:
         cluster.step_down("s0")
         types = {e["type"] for e in warehouse.flight_events()}
         assert {"add_shard", "migration", "election"} <= types
+
+    def test_failing_event_sink_is_counted_and_logged(self):
+        def sink(event):
+            raise RuntimeError("sink down")
+
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger("repro.docstore.cluster")
+        logger.addHandler(handler)
+        counter = get_registry().counter(
+            "repro_cluster_event_sink_errors_total")
+        before = {t: counter.value(type=t) for t in ("election", "step_down")}
+        try:
+            cluster = make_cluster(n_shards=1, event_sink=sink)
+            cluster.shard_collection("mp.m", "mid")
+            cluster.step_down("s0")  # election + step_down events
+        finally:
+            logger.removeHandler(handler)
+        for event_type, count in before.items():
+            assert counter.value(type=event_type) == count + 1
+        messages = [r.getMessage() for r in records]
+        assert any("event_sink_error" in m and "sink down" in m
+                   for m in messages)
 
     def test_cli_cluster_commands(self, served):
         from repro.cli import main

@@ -1,12 +1,21 @@
 """Failure-injection tests: crashes, failovers, races, poisoned inputs."""
 
 import os
+import sys
 import threading
 
 import pytest
 
-from repro.docstore import Collection, DocumentStore, ReplicaSet
-from repro.errors import DuplicateKeyError, RateLimitExceeded
+from repro.docstore import Collection, DocumentStore, ShardReplicaSet
+from repro.errors import DuplicateKeyError, ElectionFailed, RateLimitExceeded
+
+
+def insert(rs, _id):
+    rs.write("mp", "m", lambda c: c.insert_one({"_id": _id}))
+
+
+def count(member):
+    return member.store["mp"]["m"].count_documents()
 
 
 class TestCrashRecovery:
@@ -54,45 +63,52 @@ class TestCrashRecovery:
 class TestReplicaFailover:
     def test_writes_during_failover_not_lost(self):
         """Write, fail over, keep writing; full history on the new primary."""
-        rs = ReplicaSet("rs", n_secondaries=2)
-        rs.primary["m"].insert_many([{"_id": i} for i in range(5)])
-        rs.replicate()
+        rs = ShardReplicaSet("rs", n_members=3)
+        for i in range(5):
+            insert(rs, i)
         rs.step_down()
-        rs.primary["m"].insert_many([{"_id": i} for i in range(5, 10)])
-        assert rs.primary["m"].count_documents() == 10
+        for i in range(5, 10):
+            insert(rs, i)
+        assert count(rs.primary) == 10
 
     def test_laggy_secondary_not_elected(self):
-        rs = ReplicaSet("rs", n_secondaries=2)
-        rs.primary["m"].insert_many([{} for _ in range(8)])
-        fresh, stale = rs.secondaries
-        rs.replicate(fresh)  # only one secondary catches up
-        promoted = rs.step_down()
-        assert promoted is fresh
+        """A member that missed writes cannot lead until it has caught up."""
+        rs = ShardReplicaSet("rs", n_members=3)
+        primary, _, stale = rs.members
+        rs.kill(stale.name)
+        for i in range(8):
+            insert(rs, i)
+        rs.kill(primary.name)
+        with pytest.raises(ElectionFailed):
+            rs.elect()  # the stale member is down: no majority
+        rs.revive(stale.name)
+        winner = rs.node(rs.elect())
+        assert winner.applied_optime == 8
+        assert count(winner) == 8
 
-    def test_concurrent_writes_with_background_replication(self):
-        import time
-
-        rs = ReplicaSet("rs", n_secondaries=1)
-        rs.start_background_replication(interval_s=0.002)
+    def test_concurrent_writes_replicate_to_every_member(self):
+        """Writers race on the write log while a member is down."""
+        rs = ShardReplicaSet("rs", n_members=3)
+        rs.kill(rs.members[2].name)
 
         def writer(base):
             for i in range(25):
-                rs.primary["m"].insert_one({"_id": base + i})
+                insert(rs, base + i)
 
         threads = [threading.Thread(target=writer, args=(k * 100,))
                    for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        deadline = time.time() + 3
-        while time.time() < deadline:
-            if rs.secondaries[0].database["m"].count_documents() == 100:
-                break
-            time.sleep(0.01)
-        rs.stop_background_replication()
-        assert rs.secondaries[0].database["m"].count_documents() == 100
-
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert rs.revive(rs.members[2].name) == "delta"
+        assert [count(m) for m in rs.members] == [100, 100, 100]
 
 class TestConcurrencyRaces:
     def test_unique_index_under_concurrent_inserts(self):

@@ -14,10 +14,9 @@ from repro.docstore import (
     DatastoreServer,
     DocumentStore,
     RemoteClient,
+    ShardedCluster,
 )
 from repro.docstore.changestream import ChangeStream
-from repro.docstore.replication import ReplicaSet
-from repro.docstore.sharding import ShardedCollection
 from repro.obs import (
     BurnRateRule,
     HealthMonitor,
@@ -403,6 +402,16 @@ class TestSLOEngineLifecycle:
         assert good == total  # nothing slower than 1e6 ms
 
 
+def lagging_cluster():
+    """One 3-member shard with a secondary killed: routed writes lag it."""
+    cluster = ShardedCluster(n_replicas=3)
+    rs = cluster.add_shard("s0").rs
+    coll = cluster.shard_collection("mp.m", "mid")
+    behind = next(m.name for m in rs.members if m is not rs.primary)
+    rs.kill(behind)
+    return rs, coll, behind
+
+
 class TestHealthMonitor:
     def test_green_on_fresh_store(self, db):
         report = HealthMonitor(db).report()
@@ -410,10 +419,10 @@ class TestHealthMonitor:
         assert report["new_alerts"] == []
 
     def test_replication_lag_opens_then_resolves(self, db):
-        rs = ReplicaSet("rs0", n_secondaries=2)
+        rs, coll, behind = lagging_cluster()
         monitor = HealthMonitor(db).watch_replica_set(rs)
         for i in range(150):
-            rs.primary["m"].insert_one({"i": i})
+            coll.insert_one({"mid": f"mp-{i}"})
         report = report_open = monitor.report(now=1000.0)
         assert report_open["status"] == "warn"
         assert report_open["gauges"]["replication_max_lag"] == 150
@@ -422,7 +431,7 @@ class TestHealthMonitor:
         stored = db["system.alerts"].find_one({"rule": "replication-lag"})
         assert stored["state"] == "open"
         assert stored["value"] == 150
-        rs.replicate()
+        rs.revive(behind)
         report = monitor.report(now=1010.0)
         assert report["status"] == "green"
         assert report["gauges"]["replication_max_lag"] == 0
@@ -430,17 +439,16 @@ class TestHealthMonitor:
             {"rule": "replication-lag"})["state"] == "resolved"
 
     def test_shard_imbalance_gauge(self, db):
-        store = DocumentStore()
-        shards = [store["s0"]["m"], store["s1"]["m"], store["s2"]["m"]]
-        sc = ShardedCollection("m", "k", shards, strategy="range",
-                               boundaries=[1000, 2000])
-        for i in range(40):
-            sc.insert_one({"k": i})  # all land on the first shard
-        sc.insert_one({"k": 1500})
-        sc.insert_one({"k": 5000})
-        monitor = HealthMonitor(db).watch_sharded("m", sc)
+        cluster = ShardedCluster(n_replicas=1)
+        for shard_id in ("s0", "s1", "s2"):
+            cluster.add_shard(shard_id)
+        # A ranged collection starts as one chunk, so every doc lands on s0.
+        sc = cluster.shard_collection("mp.m", "k", strategy="range")
+        for i in range(42):
+            sc.insert_one({"k": i})
+        monitor = HealthMonitor(db).watch_sharded("m", cluster)
         report = monitor.report(now=0.0)
-        # 40/1/1 docs: max 40 over mean 14 is ~2.9x imbalance
+        # 42/0/0 docs: max 42 over mean 14 is 3x imbalance
         assert report["gauges"]["shard_max_balance_factor"] > 2.0
         assert report["status"] == "warn"
         assert [a["rule"] for a in report["new_alerts"]] == [
@@ -461,8 +469,8 @@ class TestHealthMonitor:
         assert monitor.report(now=1.0)["status"] == "green"
 
     def test_gauges_exported_to_metrics_registry(self, db):
-        rs = ReplicaSet("rs0", n_secondaries=1)
-        rs.primary["m"].insert_one({})
+        rs, coll, _ = lagging_cluster()
+        coll.insert_one({"mid": "mp-0"})
         HealthMonitor(db).watch_replica_set(rs).gauges()
         text = get_registry().render_text()
         assert "repro_health_gauge" in text
@@ -496,12 +504,12 @@ class TestHealthEndpoints:
             server.stop()
 
     def test_health_degrades_with_recorded_alert_on_lag(self, db):
-        rs = ReplicaSet("rs0", n_secondaries=1)
+        rs, coll, _ = lagging_cluster()
         monitor = HealthMonitor(db).watch_replica_set(rs)
         server = self._server(db, monitor=monitor)
         try:
             for i in range(200):
-                rs.primary["m"].insert_one({"i": i})
+                coll.insert_one({"mid": f"mp-{i}"})
             with urllib.request.urlopen(f"{server.base_url}/health") as r:
                 assert r.status == 200  # warn still serves 200
                 doc = json.load(r)

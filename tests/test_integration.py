@@ -21,7 +21,7 @@ from repro.builders import (
     XRDBuilder,
 )
 from repro.datagen import SyntheticICSD, elemental_references
-from repro.docstore import DocumentStore, ReplicaSet
+from repro.docstore import DocumentStore, ShardReplicaSet
 from repro.fireworks import LaunchPad, Rocket, Workflow, vasp_firework
 from repro.matgen import mps_from_structure
 
@@ -102,19 +102,22 @@ class TestFullPipeline:
 
     def test_replica_set_serves_web_reads(self):
         """Writes on the primary; web traffic on replicated secondaries."""
-        rs = ReplicaSet("mp-rs", n_secondaries=2)
-        _populate(rs.primary, n=8)
-        rs.replicate()
-        primary_count = rs.primary["materials"].count_documents()
-        for node in rs.secondaries:
-            assert node.database["materials"].count_documents() == primary_count
+        built = DocumentStore()["mp"]
+        _populate(built, n=8)
+        materials = built["materials"].all_documents()
+        rs = ShardReplicaSet("mp-rs", n_members=3)
+        rs.write("mp", "materials", lambda c: c.insert_many(materials))
+        primary_count = len(materials)
+        for member in rs.members:
+            assert member.store["mp"]["materials"].count_documents() == primary_count
         # The web stack reads from a secondary.
-        qe = QueryEngine(rs.read_database("secondary"))
+        secondary = next(m for m in rs.members if m is not rs.primary)
+        qe = QueryEngine(secondary.store["mp"])
         docs = qe.query({}, limit=5)
         assert docs
         # Failover: promote a secondary, keep serving.
         rs.step_down()
-        qe2 = QueryEngine(rs.primary)
+        qe2 = QueryEngine(rs.primary.store["mp"])
         assert qe2.count({}) == primary_count
 
     def test_run_directories_to_store_via_loader(self, tmp_path):

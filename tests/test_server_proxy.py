@@ -10,6 +10,7 @@ from repro.docstore import (
     RemoteClient,
 )
 from repro.errors import DocstoreError
+from repro.fireworks import Firework, LaunchPad, Workflow
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ class TestWireProtocol:
     def test_objectid_roundtrip_over_wire(self, client):
         coll = client["mp"]["tasks"]
         result = coll.insert_one({"x": 1})
-        oid = result["inserted_id"]
+        oid = result.inserted_id
         assert isinstance(oid, ObjectId)
         doc = coll.find_one({"_id": oid})
         assert doc["x"] == 1
@@ -55,7 +56,7 @@ class TestWireProtocol:
         coll = client["mp"]["q"]
         coll.insert_many([{"state": "W"} for _ in range(3)])
         r = coll.update_many({"state": "W"}, {"$set": {"state": "R"}})
-        assert r["modified_count"] == 3
+        assert r.modified_count == 3
         assert coll.count_documents({"state": "R"}) == 3
 
     def test_find_one_and_update_over_wire(self, client):
@@ -81,7 +82,7 @@ class TestWireProtocol:
         coll = client["mp"]["d"]
         coll.insert_many([{"k": 1}, {"k": 1}, {"k": 2}])
         assert sorted(coll.distinct("k")) == [1, 2]
-        assert coll.delete_many({"k": 1})["deleted_count"] == 2
+        assert coll.delete_many({"k": 1}).deleted_count == 2
 
     def test_remote_error_propagates(self, client):
         coll = client["mp"]["e"]
@@ -102,6 +103,33 @@ class TestWireProtocol:
     def test_list_collections(self, client):
         client["mp"]["c1"].insert_one({})
         assert "c1" in client["mp"].list_collection_names()
+
+    def test_write_results_match_in_process_types(self, client):
+        coll = client["mp"]["results"]
+        assert coll.insert_many([{"k": 1}, {"k": 2}]).inserted_ids
+        r = coll.update_one({"k": 3}, {"$set": {"v": 1}}, upsert=True)
+        assert (r.matched_count, r.modified_count) == (0, 0)
+        assert isinstance(r.upserted_id, ObjectId)
+        assert coll.update_many({}, {"$set": {"v": 2}}).matched_count == 3
+        assert coll.delete_one({"k": 1}).deleted_count == 1
+
+    def test_launchpad_runs_over_remote_client(self, server, client):
+        """Claim and complete a two-step workflow entirely over the wire."""
+        launchpad = LaunchPad(client["mp"])
+        parent = Firework({"task": "relax"}, name="parent")
+        child = Firework({"task": "static"}, name="child", parents=[parent])
+        wf = Workflow([parent, child])
+        assert launchpad.add_workflow(wf)["added"] == 2
+        for expected in ("parent", "child"):
+            fw_doc = launchpad.checkout_firework(worker="remote")
+            assert fw_doc["name"] == expected
+            assert fw_doc["state"] == "RUNNING"
+            launchpad.apply_actions(
+                fw_doc, [{"action": "complete", "task": {"energy": -1.0}}])
+        assert launchpad.checkout_firework() is None
+        assert launchpad.workflow_complete(wf.workflow_id)
+        tasks = server.store["mp"]["tasks"]
+        assert tasks.count_documents({"state": "COMPLETED"}) == 2
 
 
 class TestProxy:

@@ -1,47 +1,70 @@
-"""Tests for the sharding router and the oplog-driven replica set (§IV-D2)."""
+"""Sharding and replication behaviour of the cluster stack (§IV-D2).
+
+Routing, placement, sort/limit pushdown and shard-key immutability run
+against :class:`ClusterCollection`; replication, lag, step-down and election
+terms against one :class:`ShardReplicaSet`.
+"""
 
 import pytest
 
-from repro.docstore import Collection, ReplicaSet, ShardedCollection, hash_shard_key
-from repro.errors import ReplicationError, ShardingError
+from repro.docstore import ShardedCluster, ShardReplicaSet
+from repro.docstore.cluster.config import hash_shard_key
+from repro.errors import ElectionFailed, ShardingError
+
+NS = "mp.materials"
 
 
-def make_sharded(n=3, strategy="hashed", **kw):
-    shards = [Collection(f"s{i}") for i in range(n)]
-    return ShardedCollection("materials", "mps_id", shards, strategy=strategy, **kw)
+def make_sharded(n=3, strategy="hashed", key="mps_id"):
+    cluster = ShardedCluster(n_replicas=1)
+    for i in range(n):
+        cluster.add_shard(f"s{i}")
+    return cluster.shard_collection(NS, key, strategy=strategy)
+
+
+def write(rs, fn, coll="m"):
+    return rs.write("mp", coll, fn)
+
+
+def member_docs(member, coll="m"):
+    return member.store["mp"][coll].all_documents()
 
 
 class TestHashedSharding:
     def test_all_docs_reachable(self):
         sc = make_sharded()
         sc.insert_many([{"mps_id": f"mps-{i}", "v": i} for i in range(60)])
-        assert len(sc) == 60
+        assert sc.count_documents({}) == 60
         assert len(sc.find({})) == 60
 
     def test_distribution_roughly_balanced(self):
         sc = make_sharded()
         sc.insert_many([{"mps_id": f"mps-{i}"} for i in range(300)])
-        assert sc.balance_factor() < 1.5
+        assert sc.cluster.balance_factor(NS) < 1.5
 
     def test_equality_query_routes_to_single_shard(self):
         sc = make_sharded()
         sc.insert_many([{"mps_id": f"mps-{i}", "v": i} for i in range(30)])
         docs = sc.find({"mps_id": "mps-7"})
         assert len(docs) == 1 and docs[0]["v"] == 7
-        assert len(sc.last_targets) == 1
+        plan = sc.explain({"mps_id": "mps-7"})
+        assert plan["mode"] == "SINGLE_SHARD"
+        assert len(plan["shards"]) == 1
 
     def test_in_query_routes_to_owning_shards(self):
         sc = make_sharded()
         sc.insert_many([{"mps_id": f"mps-{i}"} for i in range(30)])
-        sc.find({"mps_id": {"$in": ["mps-1", "mps-2"]}})
-        assert 1 <= len(sc.last_targets) <= 2
+        query = {"mps_id": {"$in": ["mps-1", "mps-2"]}}
+        assert len(sc.find(query)) == 2
+        assert 1 <= len(sc.explain(query)["shards"]) <= 2
 
     def test_non_key_query_scatter_gathers(self):
         sc = make_sharded()
         sc.insert_many([{"mps_id": f"mps-{i}", "v": i % 2} for i in range(30)])
         docs = sc.find({"v": 1})
         assert len(docs) == 15
-        assert len(sc.last_targets) == 3
+        plan = sc.explain({"v": 1})
+        assert plan["mode"] == "SCATTER_GATHER"
+        assert len(plan["shards"]) == 3
 
     def test_missing_shard_key_rejected(self):
         sc = make_sharded()
@@ -60,30 +83,37 @@ class TestHashedSharding:
         sc.delete_many({"mps_id": "m3"})
         assert sc.find_one({"mps_id": "m3"}) is None
 
-    def test_aggregate_across_shards(self):
-        sc = make_sharded()
-        sc.insert_many([{"mps_id": f"m{i}", "v": 1} for i in range(10)])
-        rows = sc.aggregate([{"$group": {"_id": None, "total": {"$sum": "$v"}}}])
-        assert rows[0]["total"] == 10
-
 
 class TestRangeSharding:
     def test_range_placement(self):
-        sc = make_sharded(3, strategy="range", boundaries=["g", "p"])
+        sc = make_sharded(3, strategy="range")
+        cluster = sc.cluster
         sc.insert_many([{"mps_id": k} for k in ["apple", "grape", "zebra"]])
-        dist = sc.shard_distribution()
-        assert dist == {"shard0": 1, "shard1": 1, "shard2": 1}
+        # Split [min, max) at the data medians, then give each shard one.
+        first = cluster.config.chunks(NS)[0]
+        _, right = cluster.split_chunk(NS, first.chunk_id)
+        cluster.split_chunk(NS, right.chunk_id)
+        for chunk, shard_id in zip(cluster.config.chunks(NS),
+                                   ["s0", "s1", "s2"]):
+            cluster.move_chunk(NS, chunk.chunk_id, shard_id)
+        assert cluster.shard_distribution(NS) == {"s0": 1, "s1": 1, "s2": 1}
+        for shard_id, key in [("s0", "apple"), ("s1", "grape"),
+                              ("s2", "zebra")]:
+            primary = cluster.shard(shard_id).rs.primary
+            docs = primary.store["mp"]["materials"].all_documents()
+            assert [d["mps_id"] for d in docs] == [key]
 
     def test_range_query_prunes_shards(self):
-        sc = make_sharded(3, strategy="range", boundaries=["g", "p"])
+        sc = make_sharded(2, strategy="range")
+        cluster = sc.cluster
         sc.insert_many([{"mps_id": k} for k in ["a", "b", "h", "i", "q", "r"]])
-        docs = sc.find({"mps_id": {"$gte": "a", "$lt": "c"}})
-        assert {d["mps_id"] for d in docs} == {"a", "b"}
-        assert sc.last_targets == [0]
-
-    def test_bad_boundaries_rejected(self):
-        with pytest.raises(ShardingError):
-            make_sharded(3, strategy="range", boundaries=["only-one-but-need-two..."[:1]])
+        _, right = cluster.split_chunk(NS, cluster.config.chunks(NS)[0].chunk_id)
+        cluster.move_chunk(NS, right.chunk_id, "s1")
+        query = {"mps_id": {"$gte": "a", "$lt": "c"}}
+        assert {d["mps_id"] for d in sc.find(query)} == {"a", "b"}
+        plan = sc.explain(query)
+        assert plan["mode"] == "SINGLE_SHARD"
+        assert list(plan["shards"]) == ["s0"]
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ShardingError):
@@ -92,91 +122,67 @@ class TestRangeSharding:
 
 class TestReplicaSet:
     def test_writes_replicate_to_secondaries(self):
-        rs = ReplicaSet("rs0", n_secondaries=2)
-        rs.primary["materials"].insert_one({"formula": "Fe2O3"})
-        rs.replicate()
-        for node in rs.secondaries:
-            assert node.database["materials"].count_documents() == 1
-
-    def test_secondary_reads_stale_until_replicated(self):
-        rs = ReplicaSet("rs0", n_secondaries=1)
-        rs.primary["m"].insert_one({"x": 1})
-        secondary_db = rs.read_database("secondary")
-        assert secondary_db["m"].count_documents() == 0
-        rs.replicate()
-        assert secondary_db["m"].count_documents() == 1
+        rs = ShardReplicaSet("rs0", n_members=3)
+        write(rs, lambda c: c.insert_one({"_id": 1, "formula": "Fe2O3"}),
+              coll="materials")
+        for member in rs.members:
+            assert len(member_docs(member, "materials")) == 1
 
     def test_updates_and_deletes_replicate(self):
-        rs = ReplicaSet("rs0", n_secondaries=1)
-        coll = rs.primary["m"]
-        coll.insert_many([{"_id": i, "v": 0} for i in range(3)])
-        coll.update_one({"_id": 1}, {"$set": {"v": 9}})
-        coll.delete_one({"_id": 2})
-        rs.replicate()
-        sec = rs.secondaries[0].database["m"]
-        assert sec.find_one({"_id": 1})["v"] == 9
-        assert sec.find_one({"_id": 2}) is None
+        rs = ShardReplicaSet("rs0", n_members=2)
+        write(rs, lambda c: c.insert_many([{"_id": i, "v": 0}
+                                           for i in range(3)]))
+        write(rs, lambda c: c.update_one({"_id": 1}, {"$set": {"v": 9}}))
+        write(rs, lambda c: c.delete_one({"_id": 2}))
+        secondary = rs.members[1].store["mp"]["m"]
+        assert secondary.find_one({"_id": 1})["v"] == 9
+        assert secondary.find_one({"_id": 2}) is None
 
     def test_lag_reporting(self):
-        rs = ReplicaSet("rs0", n_secondaries=1)
-        rs.primary["m"].insert_many([{} for _ in range(5)])
-        assert rs.secondaries[0].lag(rs.oplog) == 5
-        rs.replicate()
-        assert rs.secondaries[0].lag(rs.oplog) == 0
+        rs = ShardReplicaSet("rs0", n_members=3)
+        behind = rs.members[2].name
+        rs.kill(behind)
+        for i in range(5):
+            write(rs, lambda c, i=i: c.insert_one({"_id": i}))
+        lags = {m["name"]: m["lag"] for m in rs.status()["members"]}
+        assert lags == {rs.members[0].name: 0, rs.members[1].name: 0,
+                        behind: 5}
+        rs.revive(behind)
+        assert all(m["lag"] == 0 for m in rs.status()["members"])
 
     def test_step_down_promotes_up_to_date_secondary(self):
-        rs = ReplicaSet("rs0", n_secondaries=2)
-        rs.primary["m"].insert_many([{"_id": i} for i in range(4)])
-        rs.replicate()
-        old_primary = rs.primary_node
-        new_primary = rs.step_down()
-        assert new_primary is not old_primary
-        assert rs.primary_node is new_primary
+        rs = ShardReplicaSet("rs0", n_members=3)
+        write(rs, lambda c: c.insert_many([{"_id": i} for i in range(4)]))
+        old_primary = rs.primary
+        new_name = rs.step_down()
+        assert new_name != old_primary.name
+        assert rs.primary.name == new_name
         # New primary has all the data and accepts writes.
-        assert rs.primary["m"].count_documents() == 4
-        rs.primary["m"].insert_one({"_id": 99})
-        assert rs.primary["m"].count_documents() == 5
+        assert len(member_docs(rs.primary)) == 4
+        write(rs, lambda c: c.insert_one({"_id": 99}))
+        assert len(member_docs(rs.primary)) == 5
 
     def test_step_down_without_secondaries_fails(self):
-        rs = ReplicaSet("rs0", n_secondaries=0)
-        with pytest.raises(ReplicationError):
+        rs = ShardReplicaSet("rs0", n_members=1)
+        with pytest.raises(ElectionFailed):
             rs.step_down()
 
     def test_status(self):
-        rs = ReplicaSet("rs0", n_secondaries=2)
-        rs.primary["m"].insert_one({})
-        status = rs.status()
-        states = [m["state"] for m in status["members"]]
-        assert states.count("PRIMARY") == 1
-        assert states.count("SECONDARY") == 2
+        rs = ShardReplicaSet("rs0", n_members=3)
+        write(rs, lambda c: c.insert_one({"_id": 1}))
+        roles = [m["role"] for m in rs.status()["members"]]
+        assert roles.count("PRIMARY") == 1
+        assert roles.count("SECONDARY") == 2
 
     def test_replication_is_idempotent(self):
-        rs = ReplicaSet("rs0", n_secondaries=1)
-        rs.primary["m"].insert_one({"_id": "a"})
-        rs.replicate()
-        rs.replicate()
-        assert rs.secondaries[0].database["m"].count_documents() == 1
-
-    def test_read_preferences(self):
-        rs = ReplicaSet("rs0", n_secondaries=2)
-        assert rs.read_database("primary") is rs.primary
-        assert rs.read_database("secondary") is not rs.primary
-        with pytest.raises(ReplicationError):
-            rs.read_database("bogus")
-
-    def test_background_replication(self):
-        import time
-
-        rs = ReplicaSet("rs0", n_secondaries=1)
-        rs.start_background_replication(interval_s=0.005)
-        rs.primary["m"].insert_many([{} for _ in range(10)])
-        deadline = time.time() + 2.0
-        while time.time() < deadline:
-            if rs.secondaries[0].database["m"].count_documents() == 10:
-                break
-            time.sleep(0.01)
-        rs.stop_background_replication()
-        assert rs.secondaries[0].database["m"].count_documents() == 10
+        rs = ShardReplicaSet("rs0", n_members=3)
+        lagging = rs.members[1]
+        rs.kill(lagging.name)
+        write(rs, lambda c: c.insert_one({"_id": "a"}))
+        assert rs.revive(lagging.name) == "delta"
+        # Reviving a live member replays nothing a second time.
+        assert rs.revive(lagging.name) == "delta"
+        assert len(member_docs(lagging)) == 1
 
 
 class TestSortLimitPushdown:
@@ -233,10 +239,10 @@ class TestImmutableShardKey:
         sc.insert_one({"mps_id": "m1"})
         with pytest.raises(ShardingError):
             sc.update_many({"mps_id": "m1"}, {"mps_id": "m2", "x": 1})
+        assert sc.find_one({"mps_id": "m1"}) is not None
 
     def test_prefix_path_rejected_for_nested_key(self):
-        shards = [Collection(f"s{i}") for i in range(2)]
-        sc = ShardedCollection("m", "meta.id", shards)
+        sc = make_sharded(2, key="meta.id")
         sc.insert_one({"meta": {"id": "a"}})
         with pytest.raises(ShardingError):
             sc.update_many({}, {"$set": {"meta": {"id": "b"}}})
@@ -244,27 +250,25 @@ class TestImmutableShardKey:
     def test_non_key_updates_still_apply(self):
         sc = make_sharded()
         sc.insert_one({"mps_id": "m1", "state": "old"})
-        r = sc.update_many({"mps_id": "m1"}, {"$set": {"state": "new"}})
-        assert r.modified_count == 1
+        assert sc.update_many({"mps_id": "m1"}, {"$set": {"state": "new"}}) == 1
         assert sc.find_one({"mps_id": "m1"})["state"] == "new"
 
 
 class TestElectionTerms:
     def test_step_down_bumps_term_and_records_ballot(self):
-        rs = ReplicaSet("rs0", n_secondaries=2)
-        rs.primary["m"].insert_many([{} for _ in range(5)])
-        rs.replicate()
+        rs = ShardReplicaSet("rs0", n_members=3)
+        write(rs, lambda c: c.insert_many([{"_id": i} for i in range(5)]))
         winner = rs.step_down()
         assert rs.term == 1
-        assert len(rs.elections) == 1
-        ballot = rs.elections[0]
-        assert ballot["candidate"] == winner.name
-        assert ballot["granted"] == 3  # unanimous: winner is up to date
+        assert rs.elections == 1
+        ballot = rs.voted_in[1]
+        # Unanimous: the winner is as up to date as every voter.
+        assert ballot == {m.name: winner for m in rs.members}
         assert rs.status()["term"] == 1
 
     def test_successive_elections_accumulate_terms(self):
-        rs = ReplicaSet("rs0", n_secondaries=2)
+        rs = ShardReplicaSet("rs0", n_members=3)
         rs.step_down()
         rs.step_down()
         assert rs.term == 2
-        assert [b["term"] for b in rs.elections] == [1, 2]
+        assert sorted(rs.voted_in) == [1, 2]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import database_census, describe, histogram
 from repro.docstore import Collection, DocumentStore
-from repro.errors import QuerySyntaxError, ReplicationError
+from repro.errors import QuerySyntaxError
 
 
 class TestDescribeHistogram:
@@ -115,15 +115,24 @@ class TestThinSpots:
         with pytest.raises(QuerySyntaxError):
             db["a"].aggregate([{"$lookup": {"from": "b"}}])
 
-    def test_oplog_truncation_forces_resync(self):
-        from repro.docstore import Oplog
+    def test_oplog_truncation_forces_resync(self, monkeypatch):
+        from repro.docstore import ShardReplicaSet
+        from repro.docstore.cluster import replica
 
-        log = Oplog(max_entries=3)
-        for i in range(6):
-            log.append("db", "insert", {"ns": "c", "doc": {"_id": i}})
-        with pytest.raises(ReplicationError):
-            log.entries_after(0)  # history before the window is gone
-        assert len(log.entries_after(log.last_optime - 1)) == 1
+        monkeypatch.setattr(replica, "WRITE_LOG_CAP", 3)
+        rs = ShardReplicaSet("rs", n_members=5)
+        long_, short = rs.members[3], rs.members[4]
+        rs.kill(long_.name)
+        for i in range(5):
+            rs.write("db", "c", lambda c, i=i: c.insert_one({"_id": i}))
+        rs.kill(short.name)
+        rs.write("db", "c", lambda c: c.insert_one({"_id": 5}))
+        # Writes before the capped log's window are gone for one member
+        # but not for the other.
+        assert rs.revive(long_.name) == "resync"
+        assert rs.revive(short.name) == "delta"
+        for member in rs.members:
+            assert member.store["db"]["c"].count_documents() == 6
 
     def test_wire_protocol_stats_and_databases(self):
         from repro.docstore import DatastoreServer, DocumentStore, RemoteClient

@@ -13,7 +13,7 @@ from repro.docstore import (
     DatastoreServer,
     DocumentStore,
     RemoteClient,
-    ShardedCollection,
+    ShardedCluster,
     query_shape,
 )
 from repro.errors import NotFoundError, OperationKilled
@@ -179,28 +179,39 @@ class TestWireTracePropagation:
         assert order == sorted(order)
 
     def test_sharded_query_through_proxy_one_trace(self, server, store):
-        """The acceptance scenario: sharded remote store behind the proxy."""
+        """A routed cluster query and a proxied write share one trace."""
         store["mp"].set_profiling_level(2)
+        cluster = ShardedCluster(n_replicas=1)
+        for shard_id in ("s0", "s1"):
+            cluster.add_shard(shard_id)
+        tasks = cluster.shard_collection("mp.tasks", "mps_id")
+        tasks.insert_many([{"mps_id": f"mps-{i}", "n": i} for i in range(10)])
+        primaries = [cluster.shard(s).rs.primary.store for s in ("s0", "s1")]
+        for member_store in primaries:
+            member_store["mp"].set_profiling_level(2)
         with DatastoreProxy("127.0.0.1", server.port) as proxy:
             with proxy.client() as c:
-                shards = [c["mp"]["tasks_shard0"], c["mp"]["tasks_shard1"]]
-                sc = ShardedCollection("tasks", "mps_id", shards)
-                sc.insert_many(
-                    [{"mps_id": f"mps-{i}", "n": i} for i in range(10)]
-                )
                 with span("tour.sharded_query") as root:
-                    docs = sc.find({})
+                    docs = tasks.find({})
+                    c["mp"]["task_counts"].insert_one({"n": len(docs)})
                 exported = c.export_traces(root.trace_id)
         assert len(docs) == 10
         # Fan-out children carry the root's trace id locally...
-        assert root.find("sharded.find")
-        assert all(s.trace_id == root.trace_id
-                   for s in root.find("shard.find"))
-        # ...and every server-side dispatch joined the same trace.
+        fan = root.find("cluster.find")
+        assert fan and fan[0].attributes["nreturned"] == 10
+        shard_spans = root.find("shard.find")
+        assert len(shard_spans) == 2
+        assert all(s.trace_id == root.trace_id for s in shard_spans)
+        # ...each shard's primary profiled its read under the trace...
+        for member_store in primaries:
+            assert any(e.get("trace_id") == root.trace_id
+                       for e in member_store["mp"].profile_log)
+        # ...and every dispatch behind the proxy joined the same trace.
+        assert exported
         assert all(d["trace_id"] == root.trace_id for d in exported)
         profiled = {e["ns"] for e in store["mp"].profile_log
                     if e.get("trace_id") == root.trace_id}
-        assert {"mp.tasks_shard0", "mp.tasks_shard1"} <= profiled
+        assert "mp.task_counts" in profiled
         assert format_trace([root.to_dict()] + exported).count("trace ") == 1
 
 
